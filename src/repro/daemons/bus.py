@@ -10,7 +10,15 @@ hosts, node-state caching) are measurable.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+)
 
 from repro.daemons.messages import message_kind
 from repro.errors import DaemonError, DaemonUnreachable, MessageDropped
@@ -42,6 +50,7 @@ class MessageBus:
         self._engine = engine
         self._rtt = rtt
         self._endpoints: Dict[NodeId, Handler] = {}
+        self._owners: Dict[NodeId, Any] = {}
         self._messages_sent = 0
         self._calls = 0
         # Fault-injection state: a fault model (the FaultInjector) decides
@@ -61,16 +70,15 @@ class MessageBus:
         # and drops to the task whose placement triggered them.
         self._causal = telemetry.causal if telemetry.causal.active else None
         reg = telemetry.registry
+        self._timer = reg.timer("bus")  # a no-op twin when disabled
         if reg.enabled:
             self._ctr_messages = reg.counter("bus.messages_sent")
             self._ctr_calls = reg.counter("bus.calls")
             self._ctr_dropped = reg.counter("bus.messages_dropped")
-            self._timer = reg.timer("bus")
         else:
             self._ctr_messages = None
             self._ctr_calls = None
             self._ctr_dropped = None
-            self._timer = None
 
     @property
     def engine(self) -> Engine:
@@ -85,6 +93,8 @@ class MessageBus:
         if host in self._endpoints:
             raise DaemonError(f"endpoint already registered for {host!r}")
         self._endpoints[host] = handler
+        # The daemon a bound ``handle`` belongs to, for call_many's callers.
+        self._owners[host] = getattr(handler, "__self__", handler)
 
     def register_controller(self, handler: Handler) -> None:
         """Attach the global controller's one-way (push) message handler."""
@@ -102,7 +112,7 @@ class MessageBus:
         """All traffic to or from ``host`` fails from now on."""
         self._down_hosts.add(host)
 
-    def _drop(self, host: NodeId, payload: Any, reason: str) -> None:
+    def _drop(self, host: NodeId, type_name: str, reason: str) -> None:
         self._messages_dropped += 1
         if self._ctr_dropped is not None:
             self._ctr_dropped.inc()
@@ -112,12 +122,43 @@ class MessageBus:
             self._trace.emit(
                 "bus_drop",
                 self._engine.now,
-                {
-                    "host": host,
-                    "type": type(payload).__name__,
-                    "reason": reason,
-                },
+                {"host": host, "type": type_name, "reason": reason},
             )
+
+    def _deliver(self, host: NodeId, type_name: str, kind: str) -> bool:
+        """Account one request to ``host``: faults, counts, trace event.
+
+        Returns whether it got through.  Raises :class:`DaemonError` when
+        nothing is registered at ``host``.
+        """
+        if host in self._down_hosts:
+            self._messages_sent += 1
+            self._drop(host, type_name, "host_down")
+            return False
+        if host not in self._endpoints:
+            raise DaemonError(f"no daemon registered at {host!r}")
+        if self._fault_model is not None:
+            self._messages_sent += 1  # the request went out regardless
+            if self._fault_model.should_drop(kind):
+                self._drop(host, type_name, "loss_window")
+                return False
+            self._messages_sent += 1
+            self._delay_accrued += self._fault_model.message_delay()
+        else:
+            self._messages_sent += 2
+        self._calls += 1
+        if self._causal is not None:
+            self._causal.note_bus_message()
+        if self._trace.active:
+            self._trace.emit(
+                "bus_message",
+                self._engine.now,
+                {"host": host, "type": type_name, "latency": self._rtt},
+            )
+        if self._ctr_messages is not None:
+            self._ctr_messages.inc(2)
+            self._ctr_calls.inc()
+        return True
 
     def call(self, host: NodeId, payload: Any) -> Any:
         """Send ``payload`` to the daemon at ``host`` and return its reply.
@@ -128,61 +169,39 @@ class MessageBus:
         window adds to the latency accounting but — calls being
         synchronous in the fluid model — not to simulated time.
         """
-        if host in self._down_hosts:
-            self._messages_sent += 1
-            self._drop(host, payload, "host_down")
-            raise DaemonUnreachable(f"host {host!r} is down")
-        handler = self._endpoints.get(host)
-        if handler is None:
-            raise DaemonError(f"no daemon registered at {host!r}")
-        if self._fault_model is not None:
-            self._messages_sent += 1  # the request went out regardless
-            if self._fault_model.should_drop(message_kind(payload)):
-                self._drop(host, payload, "loss_window")
-                raise MessageDropped(
-                    f"request to {host!r} lost in a fault-plan loss window"
-                )
-            self._messages_sent += 1
-            self._delay_accrued += self._fault_model.message_delay()
-            self._calls += 1
-            if self._causal is not None:
-                self._causal.note_bus_message()
-            if self._trace.active:
-                self._trace.emit(
-                    "bus_message",
-                    self._engine.now,
-                    {
-                        "host": host,
-                        "type": type(payload).__name__,
-                        "latency": self._rtt,
-                    },
-                )
-            if self._ctr_messages is not None:
-                self._ctr_messages.inc(2)
-                self._ctr_calls.inc()
-                with self._timer.time():
-                    return handler(payload)
-            return handler(payload)
-        self._messages_sent += 2
-        self._calls += 1
-        if self._causal is not None:
-            self._causal.note_bus_message()
-        if self._trace.active:
-            self._trace.emit(
-                "bus_message",
-                self._engine.now,
-                {
-                    "host": host,
-                    "type": type(payload).__name__,
-                    "latency": self._rtt,
-                },
+        kind = message_kind(payload)
+        if not self._deliver(host, type(payload).__name__, kind):
+            if host in self._down_hosts:
+                raise DaemonUnreachable(f"host {host!r} is down")
+            raise MessageDropped(
+                f"request to {host!r} lost in a fault-plan loss window"
             )
-        if self._ctr_messages is not None:
-            self._ctr_messages.inc(2)
-            self._ctr_calls.inc()
-            with self._timer.time():
-                return handler(payload)
-        return handler(payload)
+        with self._timer.time():
+            return self._endpoints[host](payload)
+
+    def call_many(
+        self, hosts: Sequence[NodeId], request_type: type
+    ) -> List[Any]:
+        """Account one ``request_type`` round trip to each of ``hosts``.
+
+        The bulk form of :meth:`call` used by the placement scoring core:
+        per host and in host order it does what :meth:`call` does — the
+        down-host check, the fault model's loss coin flip, delay accrual,
+        the causal note, the ``bus_message`` / ``bus_drop`` trace event and
+        the counters — but builds no request or reply object and runs no
+        handler.  Returns, per host, the daemon behind its endpoint when
+        the request got through (the caller reads its state directly), or
+        None when the host is down or the request was lost.
+        """
+        type_name = request_type.__name__
+        deliver = self._deliver
+        owners = self._owners
+        with self._timer.time():
+            return [
+                owners[host] if deliver(host, type_name, "prediction")
+                else None
+                for host in hosts
+            ]
 
     def push(self, host: NodeId, payload: Any) -> bool:
         """One-way message from ``host``'s daemon to the controller.
@@ -198,12 +217,12 @@ class MessageBus:
         if self._ctr_messages is not None:
             self._ctr_messages.inc()
         if host in self._down_hosts:
-            self._drop(host, payload, "host_down")
+            self._drop(host, type(payload).__name__, "host_down")
             return False
         delay = 0.0
         if self._fault_model is not None:
             if self._fault_model.should_drop(message_kind(payload)):
-                self._drop(host, payload, "loss_window")
+                self._drop(host, type(payload).__name__, "loss_window")
                 return False
             delay = self._fault_model.message_delay()
         if self._trace.active:

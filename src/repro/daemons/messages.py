@@ -4,6 +4,13 @@ The task placement daemon sends prediction requests to per-node network
 daemons; replies carry the predicted completion time *and* the node's
 current state (smallest residual flow size), which the placement daemon
 caches for future preferred-host filtering.
+
+Flow placement sends its requests in bulk: :meth:`MessageBus.call_many`
+accounts one exchange per queried host (counts, faults, trace events)
+without building the request and reply objects, and the placement daemon
+reads the reached daemons directly.  The request classes still name
+those messages, and :meth:`NetworkDaemon.handle` still answers
+prediction requests sent one at a time.
 """
 
 from __future__ import annotations
@@ -73,31 +80,13 @@ class LinkStateRequest:
 
     Unlike :class:`FlowPredictionRequest` the answer is *size-independent*:
     one reply lets the controller score any number of hypothetical flows
-    locally.  The streaming placement service uses this to amortise a
-    single state read per host across a whole micro-batch of requests
-    (§5.2's state shipping, batched).
+    locally.  The streaming placement service sends one per distinct
+    candidate host per micro-batch (§5.2's state shipping, batched).  The
+    exchange is accounted by :meth:`MessageBus.call_many` and the reply
+    read straight from the daemon (:meth:`NetworkDaemon.read_edge`).
     """
 
     direction: str = "in"
-
-
-@dataclass(frozen=True)
-class LinkStateReply:
-    """A node daemon's edge-link snapshot.
-
-    Attributes:
-        host: the replying node.
-        link: the edge link's id.
-        capacity: the link's capacity in bits/sec.
-        flow_sizes: residual sizes of the flows currently on the link.
-        node_state: smallest residual flow size on the node (§5.1.1).
-    """
-
-    host: NodeId
-    link: str
-    capacity: float
-    flow_sizes: tuple
-    node_state: float
 
 
 def message_kind(payload) -> str:

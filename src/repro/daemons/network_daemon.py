@@ -13,7 +13,7 @@ prediction requests from the task placement daemon:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a daemons<->telemetry cycle
     from repro.telemetry import Telemetry
@@ -21,8 +21,6 @@ if TYPE_CHECKING:  # pragma: no cover - avoids a daemons<->telemetry cycle
 from repro.daemons.messages import (
     CoflowPredictionRequest,
     FlowPredictionRequest,
-    LinkStateReply,
-    LinkStateRequest,
     PredictionReply,
 )
 from repro.errors import DaemonError
@@ -30,10 +28,13 @@ from repro.network.fabric import NetworkFabric
 from repro.network.flow import Flow
 from repro.predictor.coflow_cct import CoflowCCTPredictor
 from repro.predictor.compressed import CompressedLinkState
-from repro.predictor.flow_fct import FlowFCTPredictor
+from repro.predictor.flow_fct import FlowFCTPredictor, LinkView
 from repro.predictor.fabric_state import coflow_link_state
-from repro.predictor.state import link_state_from_flows
 from repro.topology.base import Link, NodeId
+
+#: What a flow prediction reads from one edge link: the daemon's
+#: compressed state when it keeps one (§5.2), else the exact view.
+EdgeRead = Union[CompressedLinkState, LinkView]
 
 
 class NetworkDaemon:
@@ -63,16 +64,13 @@ class NetworkDaemon:
         self._fabric = fabric
         self._flow_predictor = flow_predictor
         self._coflow_predictor = coflow_predictor
-        self._timer_predict = (
-            telemetry.registry.timer("predictor")
-            if telemetry is not None and telemetry.registry.enabled
-            else None
-        )
-        self._prof = (
-            telemetry.profiler
-            if telemetry is not None and telemetry.profiler.enabled
-            else None
-        )
+        if telemetry is None:
+            from repro.telemetry import NULL_TELEMETRY
+
+            telemetry = NULL_TELEMETRY
+        # No-op twins when telemetry is off.
+        self._timer_predict = telemetry.registry.timer("predictor")
+        self._prof = telemetry.profiler
         topo = fabric.topology
         self._uplink: Link = topo.host_uplink(host)
         self._downlink: Link = topo.host_downlink(host)
@@ -98,6 +96,11 @@ class NetworkDaemon:
     def host(self) -> NodeId:
         return self._host
 
+    @property
+    def flow_predictor(self) -> FlowFCTPredictor:
+        """The FCT model this daemon scores flows with."""
+        return self._flow_predictor
+
     def handle(self, payload) -> PredictionReply:
         """Dispatch a control-plane request (the bus handler)."""
         if isinstance(payload, FlowPredictionRequest):
@@ -106,8 +109,6 @@ class NetworkDaemon:
             return self.predict_coflow(
                 payload.total_size, payload.size_on_link, payload.direction
             )
-        if isinstance(payload, LinkStateRequest):
-            return self.link_state(payload.direction)
         raise DaemonError(f"unknown request type {type(payload).__name__}")
 
     # ------------------------------------------------------------------
@@ -115,10 +116,7 @@ class NetworkDaemon:
     # ------------------------------------------------------------------
     def node_state(self) -> float:
         """Smallest residual flow size on this node (inf when idle)."""
-        flows = self._fabric.flows_at_host(self._host)
-        if not flows:
-            return float("inf")
-        return min(f.remaining for f in flows)
+        return self._fabric.edge_view(self._host, None)[1]
 
     def coflow_node_state(self) -> float:
         """Node state at coflow granularity: the smallest residual *total*
@@ -140,61 +138,37 @@ class NetworkDaemon:
 
     def predict_flow(self, size: float, direction: str = "in") -> PredictionReply:
         """Predicted FCT of a new flow on this node's edge link."""
-        if self._prof is not None:
-            with self._prof.span("predictor.fct"):
-                return self._timed_predict_flow(size, direction)
-        return self._timed_predict_flow(size, direction)
-
-    def _timed_predict_flow(self, size: float, direction: str) -> PredictionReply:
-        if self._timer_predict is not None:
-            with self._timer_predict.time():
-                return self._predict_flow(size, direction)
-        return self._predict_flow(size, direction)
-
-    def _predict_flow(self, size: float, direction: str) -> PredictionReply:
-        link = self._downlink if direction == "in" else self._uplink
-        compressed = (
-            self._compressed_down if direction == "in" else self._compressed_up
-        )
-        if compressed is not None:
-            predicted = compressed.fair_fct(size)
-        else:
-            state = link_state_from_flows(
-                link.link_id,
-                link.capacity,
-                (
-                    f.remaining
-                    for f in self._fabric.flows_on_link(link.link_id)
-                ),
-            )
-            predicted = self._flow_predictor.fct(size, state)
+        with self._prof.span("predictor.fct"), self._timer_predict.time():
+            edge, node_state = self.read_edge(direction)
+            if isinstance(edge, CompressedLinkState):
+                predicted = edge.fair_fct(size)
+            else:
+                predicted = self._flow_predictor.fct_batch(size, (edge,))[0]
         return PredictionReply(
-            host=self._host,
-            predicted_time=predicted,
-            node_state=self.node_state(),
+            host=self._host, predicted_time=predicted, node_state=node_state
         )
 
-    def link_state(self, direction: str = "in") -> LinkStateReply:
-        """Snapshot of this node's edge link for controller-side scoring.
+    def read_edge(
+        self, direction: str = "in", *, exact: bool = False
+    ) -> Tuple[EdgeRead, float]:
+        """Everything a flow prediction reads, without the predictor call.
 
-        Size-independent (unlike :meth:`predict_flow`), so the placement
-        service can fetch it once per host per micro-batch and score every
-        request in the batch against the same snapshot.
+        Returns ``(edge, node_state)``.  ``edge`` is the compressed state
+        of the edge link when this daemon keeps one and ``exact`` is off
+        (score it with ``fair_fct``), else ``(capacity, residual sizes)``
+        of the exact flows on the link, for
+        :meth:`FlowFCTPredictor.fct_batch`.  The placement daemon's
+        scoring core calls this once per reached host and scores all of
+        them in one predictor call.
         """
-        link = self._downlink if direction == "in" else self._uplink
-        sizes = tuple(
-            sorted(
-                f.remaining
-                for f in self._fabric.flows_on_link(link.link_id)
-            )
-        )
-        return LinkStateReply(
-            host=self._host,
-            link=link.link_id,
-            capacity=link.capacity,
-            flow_sizes=sizes,
-            node_state=self.node_state(),
-        )
+        if direction == "in":
+            link, compressed = self._downlink, self._compressed_down
+        else:
+            link, compressed = self._uplink, self._compressed_up
+        if compressed is not None and not exact:
+            return compressed, self.node_state()
+        sizes, node_state = self._fabric.edge_view(self._host, link.link_id)
+        return (link.capacity, sizes), node_state
 
     def predict_coflow(
         self, total_size: float, size_on_link: float, direction: str = "in"
@@ -204,39 +178,22 @@ class NetworkDaemon:
             raise DaemonError(
                 f"daemon at {self._host!r} has no coflow predictor"
             )
-        if self._prof is not None:
-            with self._prof.span("predictor.cct"):
-                return self._timed_predict_coflow(
-                    total_size, size_on_link, direction
-                )
-        return self._timed_predict_coflow(total_size, size_on_link, direction)
-
-    def _timed_predict_coflow(
-        self, total_size: float, size_on_link: float, direction: str
-    ) -> PredictionReply:
-        if self._timer_predict is not None:
-            with self._timer_predict.time():
-                return self._predict_coflow(total_size, size_on_link, direction)
-        return self._predict_coflow(total_size, size_on_link, direction)
-
-    def _predict_coflow(
-        self, total_size: float, size_on_link: float, direction: str
-    ) -> PredictionReply:
-        link = self._downlink if direction == "in" else self._uplink
-        state = coflow_link_state(self._fabric, link.link_id)
-        # Score with objective (2): the coflow's own CCT on this link plus
-        # the CCT increase it inflicts on existing coflows (§4.2).  For
-        # priority schedulers (TCF/SEBF) the bare CCT of a high-priority
-        # coflow is insensitive to link load; the Delta term restores the
-        # externality, per Proposition 4.2.
-        predicted = self._coflow_predictor.link_objective(
-            total_size, size_on_link, state
-        )
-        return PredictionReply(
-            host=self._host,
-            predicted_time=predicted,
-            node_state=self.coflow_node_state(),
-        )
+        with self._prof.span("predictor.cct"), self._timer_predict.time():
+            link = self._downlink if direction == "in" else self._uplink
+            state = coflow_link_state(self._fabric, link.link_id)
+            # Score with objective (2): the coflow's own CCT on this link
+            # plus the CCT increase it inflicts on existing coflows (§4.2).
+            # For priority schedulers (TCF/SEBF) the bare CCT of a
+            # high-priority coflow is insensitive to link load; the Delta
+            # term restores the externality, per Proposition 4.2.
+            predicted = self._coflow_predictor.link_objective(
+                total_size, size_on_link, state
+            )
+            return PredictionReply(
+                host=self._host,
+                predicted_time=predicted,
+                node_state=self.coflow_node_state(),
+            )
 
     # ------------------------------------------------------------------
     # Push-style state dissemination (§4's periodic updates)

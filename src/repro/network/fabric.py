@@ -228,6 +228,34 @@ class NetworkFabric:
             self._sync_flow(flow, now)
         return list(members.values())
 
+    def edge_view(
+        self, host: NodeId, link_id: Optional[LinkId]
+    ) -> Tuple[List[float], float]:
+        """One host's edge-link residuals and node state, in one pass.
+
+        Returns ``(sizes, node_state)``: the positive residual sizes of the
+        flows crossing ``link_id`` in index order (empty when ``link_id``
+        is None), and the smallest residual among the flows at ``host``
+        (inf when it has none).  It syncs exactly the flows
+        :meth:`flows_on_link` and :meth:`flows_at_host` would, so the
+        values are bit-equal to reading through those two.
+        """
+        now = self._engine.now
+        sync = self._sync_flow
+        node_state = float("inf")
+        for flow in self._by_host.get(host, {}).values():
+            sync(flow, now)
+            if flow.remaining < node_state:
+                node_state = flow.remaining
+        sizes: List[float] = []
+        if link_id is not None:
+            for flow in self._by_link.get(link_id, {}).values():
+                if flow.dst != host and flow.src != host:
+                    sync(flow, now)  # not at the host: not synced above
+                if flow.remaining > 0:
+                    sizes.append(flow.remaining)
+        return sizes, node_state
+
     def current_rate(self, flow: Flow) -> float:
         """The flow's instantaneous allocated rate (bits/sec)."""
         return self._rates.get(flow.flow_id, 0.0)

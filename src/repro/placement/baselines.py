@@ -23,8 +23,12 @@ from repro.topology.base import NodeId
 
 
 def host_queued_bits(fabric: NetworkFabric, host: NodeId) -> float:
-    """Total residual bits of flows sourced at or destined to ``host``."""
-    return sum(f.remaining for f in fabric.flows_at_host(host))
+    """Total residual bits of flows sourced at or destined to ``host``,
+    summed left to right (float ``sum()`` is compensated on 3.12+)."""
+    total = 0  # an idle host reads int 0, as sum() gives
+    for flow in fabric.flows_at_host(host):
+        total += flow.remaining
+    return total
 
 
 class _RecordsDecisions:

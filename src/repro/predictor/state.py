@@ -41,8 +41,11 @@ class LinkState:
 
     @property
     def total_bits(self) -> float:
-        """Total queued bits on the link."""
-        return sum(self.flow_sizes)
+        """Total queued bits on the link (summed left to right)."""
+        total = 0  # an idle link reads int 0, as sum() gives
+        for s in self.flow_sizes:
+            total += s
+        return total
 
     @property
     def num_flows(self) -> int:

@@ -142,8 +142,8 @@ class Timer:
     """Accumulated wall-clock time of one subsystem (profiling hook).
 
     Nested timers each accumulate their own *inclusive* time: the
-    ``placement`` timer includes the ``bus`` calls it makes, which in
-    turn include ``predictor`` work.
+    ``placement`` timer includes the ``bus`` and ``predictor`` work its
+    decisions trigger.
     """
 
     __slots__ = ("name", "calls", "wall_seconds")

@@ -65,6 +65,27 @@ class TestMessageBus:
         bus.reset_counters()
         assert bus.messages_sent == 0
 
+    def test_call_many_accounts_like_call(self):
+        engine, fabric = setup()
+        daemons = {
+            host: NetworkDaemon(host, fabric, make_flow_predictor("fair"))
+            for host in ("h000", "h001", "h002")
+        }
+        bus = MessageBus(engine, rtt=0.001)
+        for host, daemon in daemons.items():
+            bus.register(host, daemon.handle)
+        bus.mark_host_down("h001")
+        reached = bus.call_many(["h000", "h001", "h002"], FlowPredictionRequest)
+        # The reached daemons come back for direct reads; the down host's
+        # request counts one message and no round trip, as with call().
+        assert reached == [daemons["h000"], None, daemons["h002"]]
+        assert bus.messages_sent == 5
+        assert bus.calls == 2
+        assert bus.messages_dropped == 1
+        assert bus.estimated_control_latency == pytest.approx(0.002)
+        with pytest.raises(DaemonError):
+            bus.call_many(["ghost"], FlowPredictionRequest)
+
 
 class TestNetworkDaemon:
     def test_node_state_tracks_smallest_flow(self):
@@ -240,3 +261,79 @@ class TestPlacementDaemonUnit:
         )
         # Prediction ignores the 9 Gb uplink backlog.
         assert no_src.decisions[-1].predicted_time == pytest.approx(1.0)
+
+
+class TestScoringCore:
+    """place_flow and place_batch share one scoring core."""
+
+    def loaded_fabric(self):
+        # Every candidate's node state admits a 2e8 task, so the batch's
+        # fresh snapshot and place_flow's cold cache prefer the same hosts.
+        engine, fabric = setup(hosts=6)
+        fabric.submit("h005", "h001", 3e9)
+        fabric.submit("h002", "h003", 5e8)
+        fabric.submit("h000", "h004", 1e8)  # load on the data node's uplink
+        return fabric
+
+    def build(self, fabric, **kwargs):
+        bus = MessageBus(fabric.engine)
+        for host in fabric.topology.hosts:
+            daemon = NetworkDaemon(host, fabric, make_flow_predictor("fair"))
+            bus.register(host, daemon.handle)
+        return TaskPlacementDaemon(fabric.topology, bus, **kwargs), bus
+
+    @pytest.mark.parametrize("include_source_link", [False, True])
+    def test_batch_of_one_equals_place_flow(self, include_source_link):
+        fabric = self.loaded_fabric()
+        request = PlacementRequest(
+            size=2e8,
+            data_node="h000",
+            candidates=("h001", "h002", "h003", "h005"),
+        )
+        single, single_bus = self.build(
+            fabric, include_source_link=include_source_link
+        )
+        batched, batched_bus = self.build(
+            fabric, include_source_link=include_source_link
+        )
+        host = single.place_flow(request)
+        (batch_host,) = batched.place_batch(
+            [request], make_flow_predictor("fair")
+        )
+        flow_decision = single.decisions[-1]
+        batch_decision = batched.decisions[-1]
+        assert batch_host == host
+        assert batch_decision.candidate_scores == flow_decision.candidate_scores
+        assert batch_decision.queried_hosts == flow_decision.queried_hosts
+        assert batched_bus.messages_sent == single_bus.messages_sent
+        assert batched_bus.calls == single_bus.calls
+        scores = dict(flow_decision.candidate_scores)
+        if include_source_link:
+            # The 0.3 s uplink bottleneck lifts the idle hosts' 0.2 s.
+            assert scores["h002"] == pytest.approx(0.3)
+            assert batched_bus.calls == 5
+        else:
+            assert scores["h002"] == pytest.approx(0.2)
+            assert batched_bus.calls == 4
+        assert scores["h001"] == pytest.approx(0.4)
+
+    def test_compressed_daemons_score_their_bins(self):
+        engine, fabric = setup(hosts=4)
+        fabric.submit("h000", "h001", 2e9)
+        bins = exponential_bins(1e6, 1e10, 8)
+        bus = MessageBus(engine)
+        for host in fabric.topology.hosts:
+            daemon = NetworkDaemon(
+                host, fabric, make_flow_predictor("fair"), bin_boundaries=bins
+            )
+            bus.register(host, daemon.handle)
+        placement = TaskPlacementDaemon(fabric.topology, bus)
+        fabric.submit("h000", "h001", 1e9)  # seen by the bins
+        placement.place_flow(
+            PlacementRequest(
+                size=1e9, data_node="h000", candidates=("h001", "h002")
+            )
+        )
+        scores = dict(placement.decisions[-1].candidate_scores)
+        assert scores["h002"] == pytest.approx(1.0)
+        assert scores["h001"] > 1.0  # the binned 1e9 flow on its downlink

@@ -72,3 +72,28 @@ def test_python_backend_without_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert "fallback-ok" in proc.stdout
+
+
+def test_replay_and_serve_do_not_import_numpy_eagerly():
+    # Set-up time of the replay and serve paths must not pay for numpy
+    # when the run does not ask for the numpy backend: the numpy kernels
+    # load only when an allocator needs them, and placement scoring is
+    # pure Python.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC)
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys\n"
+            "import repro.experiments.runner, repro.service.server\n"
+            "assert 'numpy' not in sys.modules, 'numpy imported eagerly'\n"
+            "print('lazy-ok')",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "lazy-ok" in proc.stdout

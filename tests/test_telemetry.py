@@ -246,7 +246,12 @@ class TestEndToEnd:
         counters = tele.registry.as_dict()["counters"]
         assert counters["fabric.flows_completed"] == 60
         assert counters["bus.messages_sent"] == run.control_messages
-        assert tele.registry.as_dict()["timers"]["placement"]["calls"] == 60
+        timers = tele.registry.as_dict()["timers"]
+        assert timers["placement"]["calls"] == 60
+        # The scoring core accounts the bus and runs the predictor once per
+        # decision, not once per queried candidate.
+        assert timers["bus"]["calls"] == 60
+        assert timers["predictor"]["calls"] == 60
         summary = tele.decisions.error_summary()
         assert summary["joined"] == summary["decisions"] == 60
 
